@@ -37,9 +37,11 @@ multi-core hosts with large tables.
 ``--async`` replays the trace through :meth:`QueryService.submit_async`
 with ``--clients N`` concurrent anonymous requests: same-signature cold
 arrivals coalesce onto one in-flight execution (work done once, everyone
-gets the same bitwise answer), over-limit arrivals would be shed with a
-typed :class:`~repro.serving.Overloaded`, and the unified
-:meth:`QueryService.stats` snapshot is printed afterwards.
+gets the same bitwise answer), and over-limit arrivals would be shed with
+a typed :class:`~repro.serving.Overloaded`.
+
+After the replay every run prints the service's one read surface,
+``QueryService.stats().to_dict()``, as JSON.
 
 ``--churn P`` splits the trace into batches and appends ``P``% of the
 table's rows (bootstrap-resampled from the existing data) between batches.
@@ -78,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import tempfile
 import time
@@ -270,7 +273,7 @@ def demonstrate_restart(
     )
     cold_seconds = time.perf_counter() - started
     cold_evals = cold_udf.counter_snapshot()["calls"]
-    cold_solves = cold_service.metrics()["solver_calls"]
+    cold_solves = cold_service.stats().serving["solver_calls"]
     cold_service.close()
 
     print(f"\ndurable restart (--persist {persist_dir})")
@@ -359,15 +362,15 @@ def demonstrate_bounded_memory(dataset, table, args, backend) -> None:
 
 def print_metrics_report(service, sink) -> None:
     """Print the registry snapshot, latency percentiles and slowest trace."""
-    snapshot = service.metrics_snapshot()
-    counters = snapshot["registry"].get("counters", {})
+    snapshot = service.stats()
+    counters = snapshot.registry.get("counters", {})
     print("\nobservability (--metrics)")
     print("  registry counters (top 12 by value):")
     ranked = sorted(counters.items(), key=lambda item: -item[1])[:12]
     for name, value in ranked:
         print(f"    {name:<58s} {value:>12,.0f}")
     print("  per-path latency (ms):")
-    for path, stats in sorted(snapshot["latency_ms"].items()):
+    for path, stats in sorted(snapshot.latency_ms.items()):
         if not stats["count"]:
             continue
         print(
@@ -413,8 +416,7 @@ def main() -> None:
     parser.add_argument(
         "--async", dest="use_async", action="store_true",
         help="replay through the asyncio front-end (submit_async): "
-        "concurrent same-signature cold requests coalesce onto one flight "
-        "and the unified stats() snapshot is printed",
+        "concurrent same-signature cold requests coalesce onto one flight",
     )
     parser.add_argument(
         "--clients", type=int, default=1000,
@@ -497,9 +499,10 @@ def main() -> None:
             churn_percent=args.churn, rng=RandomState(99),
         )
 
-    metrics = service.metrics()
-    plans = metrics["plan_cache"]
-    stats = metrics["stats_cache"]
+    snapshot = service.stats()
+    metrics = snapshot.serving
+    plans = snapshot.plan_cache
+    caches = snapshot.stats_cache
     print("\ncache effectiveness")
     print(f"  pipeline runs (solver invocations) : {metrics['pipeline_runs']}")
     print(f"  plan cache hit rate                : {plans['hit_rate']:.1%}")
@@ -510,9 +513,9 @@ def main() -> None:
             1, metrics["plan_hits"] + metrics["plan_refreshes"]
         )
         print(f"  refresh share of warm traffic      : {refresh_rate:.1%}")
-    print(f"  labelled-sample hit rate           : {stats['labeled_samples']['hit_rate']:.1%}")
-    print(f"  sample-outcome hit rate            : {stats['sample_outcomes']['hit_rate']:.1%}")
-    print(f"  group-index hit rate               : {stats['indexes']['hit_rate']:.1%}")
+    print(f"  labelled-sample hit rate           : {caches['labeled_samples']['hit_rate']:.1%}")
+    print(f"  sample-outcome hit rate            : {caches['sample_outcomes']['hit_rate']:.1%}")
+    print(f"  group-index hit rate               : {caches['indexes']['hit_rate']:.1%}")
     print(f"  group-index builds (whole trace)   : {GroupIndex.builds_total - index_builds_before}")
 
     # Quality spot check on the hottest signature.
@@ -525,18 +528,8 @@ def main() -> None:
     print(f"  distinct evaluations paid : {udf_counters['cache_misses']}")
     print(f"  memo-cache hits           : {udf_counters['cache_hits']}")
 
-    if args.use_async:
-        stats = service.stats()
-        print("\nstats() snapshot (unified serving surface)")
-        print(f"  serving counters : queries={stats.serving['queries']} "
-              f"coalesced={stats.serving['coalesced']} shed={stats.serving['shed']}")
-        print(f"  front-end        : max_concurrency={stats.frontend['max_concurrency']} "
-              f"max_pending={stats.frontend['max_pending']} "
-              f"open_flights={stats.frontend['open_flights']}")
-        latency = stats.latency_ms.get("all", {})
-        if latency.get("count"):
-            print(f"  latency (all)    : n={latency['count']} "
-                  f"p50={latency['p50_ms']:.2f}ms p99={latency['p99_ms']:.2f}ms")
+    print("\nQueryService.stats().to_dict()")
+    print(json.dumps(service.stats().to_dict(), indent=2, sort_keys=True, default=str))
 
     if args.metrics:
         print_metrics_report(service, sink)

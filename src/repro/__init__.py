@@ -50,7 +50,7 @@ thread-safe :class:`~repro.serving.QueryService`:
                         alpha=0.8, beta=0.8, rho=0.8)
     cold = service.submit(query, seed=0)   # plans, samples, solves
     warm = service.submit(query, seed=1)   # cache hit: execution only
-    print(service.metrics()["plan_cache"]["hit_rate"])
+    print(service.stats().plan_cache["hit_rate"])
 
 ``examples/serving_workload.py`` replays a 1000-query trace and prints the
 cache hit rates; ``benchmarks/test_serving_throughput.py`` measures the
@@ -179,15 +179,12 @@ Serving under load
   leader's in-flight execution: followers share the leader's bitwise result
   (``metadata["coalesced"]``) and charge zero extra UDF work.
 * **One config, one stats surface** — :class:`~repro.serving.ServiceConfig`
-  is the single constructor knob (the pre-1.3 loose kwargs still work for
-  one release behind ``DeprecationWarning`` shims), executors are named
-  ``"serial"`` / ``"thread"`` / ``"process"`` / ``"reference"``, and
-  :meth:`QueryService.stats` returns one typed
-  :class:`~repro.serving.ServiceStats` snapshot (schema in
+  is the only way to configure a ``QueryService`` (executors are named
+  ``"serial"`` / ``"thread"`` / ``"process"`` / ``"reference"``), and
+  :meth:`QueryService.stats` is the only way to read one: it returns one
+  typed :class:`~repro.serving.ServiceStats` snapshot (schema in
   ``repro.serving.config.SERVICE_STATS_SCHEMA``, the stats-side sibling of
-  :func:`~repro.db.metadata_schema`); ``metrics()`` /
-  ``metrics_snapshot()`` / ``latency_snapshot()`` remain as exact-shape
-  aliases.
+  :func:`~repro.db.metadata_schema`; ``.to_dict()`` for JSON reports).
 
 ``benchmarks/BENCH_traffic.json`` replays 1200 concurrent zipfian clients
 through ``submit_async`` and commits the deterministic work counters and
@@ -228,7 +225,7 @@ absorbing an append is proportional to the delta, not the table:
   the cached sample outcome absorbs only the delta-driven sampling
   shortfall, and one solver call re-optimises the plan.  The refresh
   executes with serving accounting (memoised rows are free), so its ledger
-  reads delta-proportional; ``metrics()["plan_refreshes"]`` and the
+  reads delta-proportional; ``stats().serving["plan_refreshes"]`` and the
   ``refreshes`` counters on the statistics caches make the behaviour
   observable.  Appends are single-writer: quiesce queries against a table
   while appending (e.g. between batches, as
@@ -253,7 +250,7 @@ computes:
   traffic, group-index builds and extensions, cache hits/misses/refreshes,
   solver calls, executor runs, table appends, engine fallbacks and every
   serving counter mirror into one registry, exported via
-  :func:`repro.obs.prometheus_text` or ``QueryService.metrics_snapshot()``.
+  :func:`repro.obs.prometheus_text` or ``QueryService.stats().registry``.
   The work counters the benchmarks gate are *bitwise identical* with
   metrics on or off — the registry observes, it never participates.
 * **Tracing** — per-query :class:`~repro.obs.Trace` trees.  Install a sink
@@ -269,7 +266,7 @@ computes:
 * **Latency** — ``QueryService`` always records per-path latency
   histograms (cheap fixed buckets; ``hit``/``miss``/``refresh``/``exact``/
   ``error``) with exact p50/p95/p99 over the recorded samples, surfaced by
-  ``QueryService.latency_snapshot()`` and — as informational
+  ``QueryService.stats().latency_ms`` and — as informational
   ``latency_p50_ms``/``latency_p99_ms`` keys, never gated — in
   ``benchmarks/BENCH_serving.json``.  ``examples/serving_workload.py
   --metrics`` prints the registry snapshot and the slowest trace tree after
@@ -423,6 +420,7 @@ measured comparison of every table and figure.
 from repro.baselines import LearningBaseline, MultipleImputationBaseline, NaiveBaseline
 from repro.core import (
     AdaptiveIntelSample,
+    BatchExecutor,
     CostModel,
     ExecutionPlan,
     ExecutorAware,
@@ -485,7 +483,6 @@ from repro.resilience import (
 from repro.sampling import ConstantScheme, FixedFractionScheme, TwoThirdPowerScheme
 from repro.serving import (
     AdmissionError,
-    BatchExecutor,
     Overloaded,
     PlanCache,
     QueryService,

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.executor import ExecutionResult, GroupExecutionCounts, _sampled_positives
+from repro.core.executor import ExecutionResult, _sampled_positives
 from repro.core.parallel import (
     _MIN_PARALLEL_EVAL_ROWS,
     ParallelBatchExecutor,
@@ -389,13 +389,15 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
             return udf.evaluate_rows(table, ids)
         pool = shared_process_pool(self.max_workers)
         fault_plan = _faults.active_plan()
-        futures = [
-            pool.submit(_remote_evaluate, spec, exports, ids[mask], fault_plan)
-            for mask in masks
-        ]
+        futures: List[Future] = []
         outcomes = np.empty(ids.size, dtype=bool)
         deadline = current_deadline()
         try:
+            # A cached pool that broke while idle raises on submit itself.
+            for mask in masks:
+                futures.append(
+                    pool.submit(_remote_evaluate, spec, exports, ids[mask], fault_plan)
+                )
             for mask, future in zip(masks, futures):
                 if deadline is None:
                     outcomes[mask] = future.result()
@@ -502,41 +504,45 @@ class ProcessPoolBatchExecutor(ParallelBatchExecutor):
         """
         fault_plan = _faults.active_plan()
         results: Dict[int, _RemoteSpan] = {}
-        pool = shared_process_pool(self.max_workers)
-        futures = {
-            span_index: pool.submit(
-                _remote_run_span, root, span_index, tasks, spec, exports, fault_plan, 0
-            )
-            for span_index, tasks in active
-        }
-        failed = self._harvest_spans(futures, results, table)
+
+        def run_round(
+            spans: List[Tuple[int, List[_GroupSegment]]], attempt: int
+        ) -> Dict[int, str]:
+            pool = shared_process_pool(self.max_workers)
+            futures: Dict[int, Future] = {}
+            try:
+                for span_index, tasks in spans:
+                    futures[span_index] = pool.submit(
+                        _remote_run_span,
+                        root,
+                        span_index,
+                        tasks,
+                        spec,
+                        exports,
+                        fault_plan,
+                        attempt,
+                    )
+            except BrokenProcessPool:
+                # A cached pool that broke while idle raises on submit
+                # itself: the same worker crash a harvest would report.
+                _discard_process_pool(self.max_workers)
+                return {span_index: "worker_crash" for span_index, _ in spans}
+            return self._harvest_spans(futures, results, table)
+
+        failed = run_round(active, 0)
         if failed:
             self._note_failure(sorted(failed.values())[0])
             if self.retry_spans:
                 # Retry against a (re)spawned pool.  Exports stay linked
                 # until a give-up: unlinking here would strand the fresh
                 # workers' attaches.
-                tasks_by_index = dict(active)
-                pool = shared_process_pool(self.max_workers)
-                retry_futures = {
-                    span_index: pool.submit(
-                        _remote_run_span,
-                        root,
-                        span_index,
-                        tasks_by_index[span_index],
-                        spec,
-                        exports,
-                        fault_plan,
-                        1,
-                    )
-                    for span_index in sorted(failed)
-                }
+                retry = [(i, tasks) for i, tasks in active if i in failed]
                 _metrics.counter(
                     "repro_executor_retried_spans_total", backend="process"
-                ).inc(len(retry_futures))
+                ).inc(len(retry))
                 if self.breaker is not None:
-                    self.breaker.record_retry(len(retry_futures))
-                failed = self._harvest_spans(retry_futures, results, table)
+                    self.breaker.record_retry(len(retry))
+                failed = run_round(retry, 1)
                 if failed:
                     self._note_failure(sorted(failed.values())[0])
         if failed:

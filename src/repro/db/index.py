@@ -194,10 +194,6 @@ class GroupIndex:
             return self._empty
         return self._row_id_arrays[code]
 
-    def row_id_array(self, value: Any) -> np.ndarray:
-        """Alias of :meth:`row_ids`, kept for the serving layer's vocabulary."""
-        return self.row_ids(value)
-
     def group_size(self, value: Any) -> int:
         """Number of tuples in the group for ``value`` (``t_a``)."""
         code = self._code_by_value.get(value)

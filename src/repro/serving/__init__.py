@@ -20,7 +20,6 @@ the serving layer a repeated workload needs:
   ``ServiceConfig.default_timeout_s``), circuit-broken degradation of the
   process pool, graceful shutdown (:meth:`QueryService.close`, also a
   context manager) with the typed :class:`ServiceClosed`;
-* :class:`BatchExecutor` — vectorised plan execution backend;
 * :func:`plan_signature` / :func:`canonical_predicate` — signature
   canonicalisation.
 
@@ -28,7 +27,6 @@ See the "Serving repeated workloads" section of the top-level package
 docstring and ``examples/serving_workload.py`` for a full tour.
 """
 
-from repro.serving.batch_executor import BatchExecutor
 from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.config import ServiceConfig, ServiceStats
 from repro.serving.plan_cache import CachedPlan, PlanCache
@@ -50,7 +48,6 @@ from repro.serving.stats_cache import StatisticsCache
 
 __all__ = [
     "AdmissionError",
-    "BatchExecutor",
     "CachedPlan",
     "CacheStats",
     "ClientSession",

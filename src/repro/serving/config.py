@@ -1,12 +1,11 @@
 """Service configuration and the unified stats surface.
 
-:class:`ServiceConfig` is the one place :class:`~repro.serving.service.QueryService`
-is configured — it replaces the ~10 loose keyword arguments that accreted on
-the constructor across releases (those still work for one release, with
-:class:`DeprecationWarning` shims).  :class:`ServiceStats` is the matching
-read side: one typed snapshot unifying the serving counters, cache
-statistics, session accounting, latency summaries, async front-end state and
-the optional :mod:`repro.obs` registry dump.
+:class:`ServiceConfig` is the one way to configure a
+:class:`~repro.serving.service.QueryService`, and :class:`ServiceStats`
+(returned by :meth:`~repro.serving.service.QueryService.stats`) is the one
+way to read it: a typed snapshot of the serving counters, cache statistics,
+session accounting, latency summaries, async front-end state, resilience
+and storage state, and the optional :mod:`repro.obs` registry dump.
 """
 
 from __future__ import annotations
@@ -31,17 +30,6 @@ from typing import Dict, Mapping, Optional
 #:     kept for differential testing.
 EXECUTORS = ("serial", "thread", "process", "reference")
 
-#: Pre-1.3 names accepted (with a warning) through the deprecated
-#: ``QueryService`` keyword path.  Note the trap this renaming removes:
-#: legacy ``"serial"`` meant the tuple-at-a-time reference executor, while
-#: canonical ``"serial"`` is the vectorised default — so the legacy spelling
-#: maps to ``"reference"``.
-LEGACY_EXECUTORS = {
-    "batch": "serial",
-    "parallel": "thread",
-    "serial": "reference",
-}
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -51,8 +39,7 @@ class ServiceConfig:
     ----------
     executor:
         One of :data:`EXECUTORS` — backend for warm-plan execution and the
-        pipeline's execution step.  Legacy names (``"batch"``/``"parallel"``)
-        are only accepted through the deprecated keyword shims, never here.
+        pipeline's execution step.
     max_workers:
         Worker bound for the ``thread``/``process`` backends (``None`` =
         machine cores); ignored by the others.
@@ -139,14 +126,8 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
-            hint = ""
-            if self.executor in LEGACY_EXECUTORS:
-                hint = (
-                    f" ({self.executor!r} is a pre-1.3 name; use "
-                    f"{LEGACY_EXECUTORS[self.executor]!r})"
-                )
             raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}{hint}"
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
@@ -185,14 +166,12 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """One typed observability surface for a :class:`QueryService`.
+    """The one read surface of a :class:`QueryService`.
 
-    Returned by :meth:`QueryService.stats`; the legacy ``metrics()`` /
-    ``latency_snapshot()`` / ``metrics_snapshot()`` methods remain as thin
-    aliases over the same data.  See :data:`SERVICE_STATS_SCHEMA` for the
-    field contract (documented alongside
+    Returned by :meth:`QueryService.stats`.  See :data:`SERVICE_STATS_SCHEMA`
+    for the field contract (documented alongside
     :meth:`repro.db.engine.Engine.metadata_schema`, the result-metadata
-    contract).
+    contract); :meth:`to_dict` gives the whole snapshot as plain data.
     """
 
     serving: Dict[str, int]

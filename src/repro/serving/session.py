@@ -131,7 +131,9 @@ class ClientSession:
         }
 
 
-_UNSET = object()
+#: ``budget`` sentinel for :meth:`SessionManager.session`: use the manager's
+#: default (an explicit ``None`` means unlimited).
+_DEFAULT_BUDGET = object()
 
 
 class SessionManager:
@@ -151,7 +153,7 @@ class SessionManager:
         self._sessions: Dict[str, ClientSession] = {}
         self._lock = threading.Lock()
 
-    def session(self, client_id: str, budget: object = _UNSET) -> ClientSession:
+    def session(self, client_id: str, budget: object = _DEFAULT_BUDGET) -> ClientSession:
         """The session for ``client_id``, created on first use.
 
         ``budget`` overrides the default only at creation time; an existing
@@ -161,7 +163,7 @@ class SessionManager:
             existing = self._sessions.get(client_id)
             if existing is not None:
                 return existing
-            allowance = self.default_budget if budget is _UNSET else budget
+            allowance = self.default_budget if budget is _DEFAULT_BUDGET else budget
             created = ClientSession(client_id=client_id, budget=allowance)
             self._sessions[client_id] = created
             return created

@@ -10,7 +10,9 @@ shared-memory segment (the conftest fixture asserts that after every test).
 Selected by the CI ``chaos`` step via ``-k fault`` (the module name).
 """
 
+import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.plan import ExecutionPlan, GroupDecision
-from repro.core.procpool import ProcessPoolBatchExecutor
+from repro.core.procpool import ProcessPoolBatchExecutor, shared_process_pool
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
 from repro.db.predicate import UdfPredicate
@@ -87,6 +89,17 @@ def _run(table, executor, udf, ledger=None):
 def _serial_baseline(table, udf, seed=7):
     executor = ParallelBatchExecutor(random_state=seed, max_workers=1)
     return _run(table, executor, udf)
+
+
+def _break_pool_while_idle(timeout_s=10.0):
+    """SIGKILL one idle worker of the shared pool and wait until the pool
+    has noticed, so the next ``submit`` raises ``BrokenProcessPool``."""
+    pool = shared_process_pool(WORKERS)
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    expires = time.monotonic() + timeout_s
+    while not pool._broken:
+        assert time.monotonic() < expires, "the pool never noticed the kill"
+        time.sleep(0.01)
 
 
 def _assert_parity(serial, serial_ledger, serial_udf, remote, remote_ledger, remote_udf):
@@ -277,6 +290,43 @@ class TestWorkerFaults:
         assert exported_segment_count() == 0
         assert breaker.snapshot()["last_failure_reason"] == "worker_hang"
 
+    def test_idle_worker_kill_is_survived_at_submit_time(self):
+        """A pool whose idle worker died raises on ``submit`` itself, not on
+        ``result``; both entry points must respawn or fall back, bitwise."""
+        table = _sharded(n=4000, name="idletab")
+        udf_serial, udf_remote = _label_udf("id_a"), _label_udf("id_b")
+        serial, serial_ledger = _serial_baseline(table, udf_serial)
+        breaker = CircuitBreaker(failure_threshold=100)
+        executor = ProcessPoolBatchExecutor(
+            random_state=7, max_workers=WORKERS, breaker=breaker
+        )
+        _run(table, executor, _label_udf("id_warm"))  # spawn the workers
+
+        _break_pool_while_idle()
+        executor = ProcessPoolBatchExecutor(
+            random_state=7, max_workers=WORKERS, breaker=breaker
+        )
+        remote, remote_ledger = _run(table, executor, udf_remote)
+        _assert_parity(serial, serial_ledger, udf_serial, remote, remote_ledger, udf_remote)
+        snap = breaker.snapshot()
+        assert snap["last_failure_reason"] == "worker_crash"
+        assert snap["retried_spans"] >= 1  # served by the respawned pool
+
+        ids = np.arange(len(table))
+        eval_serial, eval_remote = _label_udf("ie_a"), _label_udf("ie_b")
+        expected = eval_serial.evaluate_rows(table, ids)
+        _break_pool_while_idle()
+        outcomes = executor.evaluate_rows(table, eval_remote, ids)
+        assert np.array_equal(outcomes, expected)
+        # The in-process fallback is the thread path (one bulk call per
+        # span), so every counter but bulk_calls matches the serial call.
+        remote_counts = eval_remote.counter_snapshot()
+        serial_counts = eval_serial.counter_snapshot()
+        del remote_counts["bulk_calls"], serial_counts["bulk_calls"]
+        assert remote_counts == serial_counts
+        assert eval_remote._cache == eval_serial._cache
+        assert breaker.snapshot()["failures_total"] == snap["failures_total"] + 1
+
 
 class TestSharedMemoryFaults:
     def test_export_fault_falls_back_in_process(self):
@@ -353,7 +403,7 @@ class TestServiceUnderFaults:
             with pytest.raises(DeadlineExceeded):
                 service.submit(self._query(udf, "slowtab"), seed=1, timeout_s=0.15)
         assert time.perf_counter() - started < 4.0
-        assert service.metrics()["deadline_exceeded"] == 1
+        assert service.stats().serving["deadline_exceeded"] == 1
 
     def test_udf_sleep_below_deadline_is_bitwise_invisible(self):
         """Slowness that stays inside the deadline changes nothing."""

@@ -9,7 +9,7 @@ from repro.core.plan import ExecutionPlan, GroupDecision
 from repro.datasets.registry import load_dataset
 from repro.db.index import GroupIndex
 from repro.db.udf import CostLedger
-from repro.serving.batch_executor import BatchExecutor
+from repro.core.executor import BatchExecutor
 from repro.stats.metrics import result_quality
 
 DATASETS = ("lending_club", "census", "marketing")
